@@ -37,7 +37,7 @@ fn bench_engine(c: &mut Criterion) {
             group.bench_function(format!("{name}/{label}"), |b| {
                 b.iter(|| {
                     let mut engine = LocalEngine::new(&compiled, &source, &order);
-                    let mut consumer = CountingConsumer::default();
+                    let mut consumer = CountingConsumer;
                     black_box(engine.run_all_vertices(&mut consumer).matches)
                 })
             });

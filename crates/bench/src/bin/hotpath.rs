@@ -168,7 +168,7 @@ fn measure(w: &Workload<'_>, arm: &str, pooled: bool, wire_bytes: u64) -> Row {
             Driver::Hybrid(FrontierEngine::new(engine, MemoryBudget::bytes(budget)))
         }
     };
-    let mut consumer = CountingConsumer::default();
+    let mut consumer = CountingConsumer;
 
     // Warmup: fills the triangle/clique caches and the buffer pool so the
     // measured passes see the steady state both arms would reach in a

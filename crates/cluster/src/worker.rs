@@ -492,7 +492,7 @@ impl Worker<'_> {
             self.config.triangle_cache_entries,
         )
         .with_pooling(self.config.pooled_buffers);
-        let mut counting = CountingConsumer::default();
+        let mut counting = CountingConsumer;
         let mut collecting = CollectingConsumer::default();
         let mut result = ThreadResult::empty();
         let prefetch = self.config.prefetch_frontier && self.config.cache_capacity_bytes > 0;
@@ -597,7 +597,7 @@ impl Worker<'_> {
         .with_pooling(self.config.pooled_buffers);
         let per_thread = self.config.memory_budget_bytes / self.config.threads_per_worker.max(1);
         let mut fe = FrontierEngine::new(engine, MemoryBudget::bytes(per_thread));
-        let mut counting = CountingConsumer::default();
+        let mut counting = CountingConsumer;
         let mut collecting = CollectingConsumer::default();
         let mut result = ThreadResult::empty();
         let record_timed = self.config.speculate_quantile.is_some();
@@ -709,7 +709,7 @@ impl Worker<'_> {
             self.config.triangle_cache_entries,
         )
         .with_pooling(self.config.pooled_buffers);
-        let mut consumer = CountingConsumer::default();
+        let mut consumer = CountingConsumer;
         let _ = Transport::take_task_penalty();
         let t0 = Instant::now();
         let run = catch_unwind(AssertUnwindSafe(|| engine.run_task(task, &mut consumer)));

@@ -13,7 +13,11 @@ pub trait MatchConsumer {
     fn on_match(&mut self, f: &[VertexId]);
 
     /// Whether full embeddings must be materialised. Counting-only
-    /// consumers return false and rely on the engine's metrics.
+    /// consumers return false and rely on the engine's metrics; the
+    /// engine then never calls [`MatchConsumer::on_match`], skips VCBC
+    /// expansion, and (pooled engines, uncompressed plans) counts the
+    /// innermost enumeration level instead of walking it match by match
+    /// (DESIGN.md §4l).
     fn needs_matches(&self) -> bool {
         true
     }
@@ -22,16 +26,10 @@ pub trait MatchConsumer {
 /// Counts matches without materialising them (the engine's metrics carry
 /// the counts; this consumer simply opts out of expansion).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct CountingConsumer {
-    /// Number of `on_match` calls received (zero for compressed plans —
-    /// read the engine metrics instead).
-    pub direct_calls: u64,
-}
+pub struct CountingConsumer;
 
 impl MatchConsumer for CountingConsumer {
-    fn on_match(&mut self, _f: &[VertexId]) {
-        self.direct_calls += 1;
-    }
+    fn on_match(&mut self, _f: &[VertexId]) {}
 
     fn needs_matches(&self) -> bool {
         false
@@ -86,7 +84,7 @@ mod tests {
 
     #[test]
     fn counting_consumer_skips_expansion() {
-        let c = CountingConsumer::default();
+        let c = CountingConsumer;
         assert!(!c.needs_matches());
     }
 

@@ -9,6 +9,10 @@
 //! * an empty intersection result aborts the current branch immediately —
 //!   the "doomed-to-fail partial match" pruning that motivates on-demand
 //!   shuffling.
+//!
+//! Count-only runs (pooled engine, consumer without `needs_matches`) also
+//! evaluate the innermost enumeration level arithmetically instead of
+//! recursing once per match (DESIGN.md §4l).
 
 use crate::compile::{CFilter, CInstr, COperand, CompiledPlan};
 use crate::consumer::MatchConsumer;
@@ -190,6 +194,42 @@ fn passes_filters(order: &TotalOrder, f: &[VertexId], x: VertexId, filters: &[CF
     })
 }
 
+/// [`passes_filters`] restricted to the order (`<`/`>`) filters; `!=`
+/// filters pass. The count-only leaf memoises this part of its filter.
+#[inline]
+fn passes_order_filters(
+    order: &TotalOrder,
+    f: &[VertexId],
+    x: VertexId,
+    filters: &[CFilter],
+) -> bool {
+    filters.iter().all(|fc| match fc.op {
+        FilterOp::Less => order.less(x, f[fc.vertex]),
+        FilterOp::Greater => order.less(f[fc.vertex], x),
+        FilterOp::NotEqual => true,
+    })
+}
+
+/// The index range of a `Foreach`'s candidate set this task iterates:
+/// the split-point loop of a split task covers only its share.
+#[inline]
+pub(crate) fn loop_range(is_second: bool, task: &SearchTask, len: usize) -> std::ops::Range<usize> {
+    match (is_second, task.split) {
+        (true, Some(split)) => split.range(len),
+        _ => 0..len,
+    }
+}
+
+/// Memo of the count-only leaf's order-filtered intersection size, valid
+/// while the slot file is unchanged (`epoch`) and the order filters'
+/// images are the same (`images`).
+#[derive(Debug)]
+struct LeafMemo {
+    epoch: u64,
+    images: Vec<VertexId>,
+    count: u64,
+}
+
 /// A register slot holding a set value.
 #[derive(Debug, Default)]
 pub(crate) enum Slot {
@@ -277,6 +317,16 @@ pub struct LocalEngine<'a, S: DataSource + ?Sized> {
     operand_regs: Vec<usize>,
     /// Reusable smallest-first ordering buffer for `intersect_many_by`.
     order_buf: Vec<usize>,
+    /// pc of the terminal `Foreach` (followed only by `Report`) of an
+    /// uncompressed plan: count-only runs count its survivors.
+    terminal_foreach: Option<usize>,
+    /// pc of the `Intersect` that feeds the terminal `Foreach` when that
+    /// loop needs no per-candidate look (unlabeled, not the split
+    /// point): count-only runs never materialise it.
+    leaf_intersect: Option<usize>,
+    /// Bumped on every write to the slot file; keys `leaf_memo`.
+    slot_epoch: u64,
+    leaf_memo: LeafMemo,
 }
 
 impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
@@ -297,9 +347,15 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
         // even their first use allocates nothing mid-task.
         let mut max_key = 0usize;
         let mut max_arity = 0usize;
+        let mut max_filters = 0usize;
         for instr in &plan.instrs {
             match instr {
-                CInstr::Intersect { operands, .. } => max_arity = max_arity.max(operands.len()),
+                CInstr::Intersect {
+                    operands, filters, ..
+                } => {
+                    max_arity = max_arity.max(operands.len());
+                    max_filters = max_filters.max(filters.len());
+                }
                 CInstr::KCache { verts, regs, .. } => {
                     max_key = max_key.max(verts.len());
                     max_arity = max_arity.max(regs.len());
@@ -307,6 +363,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                 _ => {}
             }
         }
+        let (terminal_foreach, leaf_intersect) = count_leaf_shape(plan);
         LocalEngine {
             plan,
             source,
@@ -325,6 +382,14 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
             adj_override: AdjOverride::default(),
             operand_regs: Vec::with_capacity(max_arity),
             order_buf: Vec::with_capacity(max_arity),
+            terminal_foreach,
+            leaf_intersect,
+            slot_epoch: 0,
+            leaf_memo: LeafMemo {
+                epoch: u64::MAX,
+                images: Vec::with_capacity(max_filters),
+                count: 0,
+            },
         }
     }
 
@@ -374,6 +439,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
     pub fn run_task(&mut self, task: SearchTask, consumer: &mut dyn MatchConsumer) -> TaskMetrics {
         let mut metrics = TaskMetrics::default();
         self.f.fill(UNSET);
+        self.slot_epoch += 1;
         if self.pool.enabled() {
             // Return the previous task's owned buffers to the pool: every
             // plan writes a register before reading it, so the slot file
@@ -431,9 +497,18 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
     /// buffer through the pool instead of dropping it.
     #[inline]
     pub(crate) fn set_slot(&mut self, target: usize, value: Slot) {
+        self.slot_epoch += 1;
         if let Slot::Buf(b) = std::mem::replace(&mut self.slots[target], value) {
             self.pool.put(b);
         }
+    }
+
+    /// True when this run only counts: the consumer takes no matches and
+    /// the engine is pooled (the unpooled arm stays the pre-change A/B
+    /// baseline). Gates the count-only leaf (DESIGN.md §4l).
+    #[inline]
+    fn counts_only(&self, consumer: &dyn MatchConsumer) -> bool {
+        self.pool.enabled() && !consumer.needs_matches()
     }
 
     /// Executes instructions from `pc` to the end (recursing at each
@@ -464,29 +539,43 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                 // plans, where this vertex has no Foreach at all).
                 let slot = std::mem::take(&mut self.slots[*source]);
                 let items = slot.as_slice();
-                let range = match (is_second, task.split) {
-                    (true, Some(split)) => split.range(items.len()),
-                    _ => 0..items.len(),
-                };
+                let range = loop_range(*is_second, task, items.len());
                 // Iterate by index to keep `self` free for recursion.
                 let considered = (range.end - range.start) as u64;
                 metrics.enu_candidates += considered;
-                let mut survivors = 0u64;
-                for i in range {
-                    let x = match &slot {
-                        Slot::Buf(v) => v[i],
-                        Slot::Adj(a) => a.as_slice()[i],
-                        Slot::Tri(t) => t[i],
-                        Slot::Empty => unreachable!(),
+                let survivors = if Some(fpc) == self.terminal_foreach && self.counts_only(consumer)
+                {
+                    // The body is just `Report`: every survivor is one
+                    // match, so count them instead of recursing.
+                    let survivors = if plan.labels[vertex].is_none() {
+                        considered
+                    } else {
+                        items[range]
+                            .iter()
+                            .filter(|&&x| self.label_ok(vertex, x))
+                            .count() as u64
                     };
-                    if !self.label_ok(vertex, x) {
-                        continue;
+                    metrics.matches += survivors;
+                    survivors
+                } else {
+                    let mut survivors = 0u64;
+                    for i in range {
+                        let x = match &slot {
+                            Slot::Buf(v) => v[i],
+                            Slot::Adj(a) => a.as_slice()[i],
+                            Slot::Tri(t) => t[i],
+                            Slot::Empty => unreachable!(),
+                        };
+                        if !self.label_ok(vertex, x) {
+                            continue;
+                        }
+                        survivors += 1;
+                        self.f[vertex] = x;
+                        self.step(fpc + 1, task, consumer, metrics);
                     }
-                    survivors += 1;
-                    self.f[vertex] = x;
-                    self.step(fpc + 1, task, consumer, metrics);
-                }
-                self.f[vertex] = UNSET;
+                    self.f[vertex] = UNSET;
+                    survivors
+                };
                 self.slots[*source] = slot;
                 if let Some(s) = metrics.obs.slot_mut(fpc) {
                     s.candidates += considered;
@@ -543,7 +632,11 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     operands,
                     filters,
                 } => {
+                    if Some(pc) == self.leaf_intersect && self.counts_only(consumer) {
+                        return self.count_leaf(pc, operands, filters, metrics);
+                    }
                     metrics.int_executions += 1;
+                    self.slot_epoch += 1;
                     let target = *target;
                     let mut buf = match std::mem::take(&mut self.slots[target]) {
                         Slot::Buf(b) => b,
@@ -569,6 +662,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     filters,
                 } => {
                     metrics.trc_executions += 1;
+                    self.slot_epoch += 1;
                     let (va, vb) = (self.f[*a], self.f[*b]);
                     let target = *target;
                     // The cache stores the raw triangle set; filters are
@@ -652,6 +746,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     filters,
                 } => {
                     metrics.kcache_executions += 1;
+                    self.slot_epoch += 1;
                     // The cache key is the sorted tuple of mapped data
                     // vertices — the clique instance's identity.
                     self.key_buf.clear();
@@ -785,6 +880,106 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
             pc += 1;
         }
         StraightEnd::Done
+    }
+
+    /// Count-only evaluation of the leaf `Intersect` at `pc` together with
+    /// the terminal `Foreach → Report` after it: the survivors are counted,
+    /// never written, and every counter moves exactly as per-match
+    /// enumeration would move it.
+    fn count_leaf(
+        &mut self,
+        pc: usize,
+        operands: &[COperand],
+        filters: &[CFilter],
+        metrics: &mut TaskMetrics,
+    ) -> StraightEnd {
+        metrics.int_executions += 1;
+        let count = self.leaf_count(operands, filters);
+        if let Some(s) = metrics.obs.slot_mut(pc) {
+            s.candidates += 1;
+            s.survivors += count;
+        }
+        if count == 0 {
+            return StraightEnd::Pruned;
+        }
+        metrics.enu_candidates += count;
+        if let Some(s) = metrics.obs.slot_mut(pc + 1) {
+            s.candidates += count;
+            s.survivors += count;
+        }
+        metrics.matches += count;
+        StraightEnd::Done
+    }
+
+    /// `|∩ operands|` under `filters`, without materialising the set. The
+    /// order-filtered size is memoised per (slot epoch, order-filter
+    /// images); each distinct `!=` image is then subtracted when it is a
+    /// member of every operand and passes the order filters.
+    fn leaf_count(&mut self, operands: &[COperand], filters: &[CFilter]) -> u64 {
+        self.operand_regs.clear();
+        for op in operands {
+            if let COperand::Reg(r) = op {
+                self.operand_regs.push(*r);
+            }
+        }
+        let order = self.order;
+        let f = &self.f;
+        let order_images = filters
+            .iter()
+            .filter(|fc| fc.op != FilterOp::NotEqual)
+            .map(|fc| f[fc.vertex]);
+        let memo = &mut self.leaf_memo;
+        if memo.epoch != self.slot_epoch || !order_images.clone().eq(memo.images.iter().copied()) {
+            memo.epoch = self.slot_epoch;
+            memo.images.clear();
+            memo.images.extend(order_images);
+            let passes = |x: VertexId| passes_order_filters(order, f, x, filters);
+            memo.count = match self.operand_regs.len() {
+                0 => (0..self.source.num_vertices() as VertexId)
+                    .filter(|&x| passes(x))
+                    .count() as u64,
+                1 => {
+                    let slice = self.slots[self.operand_regs[0]].as_slice();
+                    if memo.images.is_empty() {
+                        slice.len() as u64
+                    } else {
+                        slice.iter().filter(|&&x| passes(x)).count() as u64
+                    }
+                }
+                k => {
+                    let slots = &self.slots;
+                    let oregs = &self.operand_regs;
+                    view::intersect_many_by(
+                        k,
+                        |i| slots[oregs[i]].as_view(),
+                        &mut self.order_buf,
+                        &mut self.scratch,
+                        &mut self.scratch2,
+                    );
+                    self.scratch.iter().filter(|&&x| passes(x)).count() as u64
+                }
+            };
+        }
+        let mut count = memo.count;
+        for (i, fc) in filters.iter().enumerate() {
+            if fc.op != FilterOp::NotEqual {
+                continue;
+            }
+            let y = f[fc.vertex];
+            let repeated = filters[..i]
+                .iter()
+                .any(|p| p.op == FilterOp::NotEqual && f[p.vertex] == y);
+            if !repeated
+                && passes_order_filters(order, f, y, filters)
+                && self
+                    .operand_regs
+                    .iter()
+                    .all(|&r| self.slots[r].as_slice().binary_search(&y).is_ok())
+            {
+                count -= 1;
+            }
+        }
+        count
     }
 
     fn compute_intersection(
@@ -972,6 +1167,36 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
     }
 }
 
+/// Locates the count-only leaf of an uncompressed plan ending
+/// `Foreach → Report`: returns the pc of that terminal `Foreach` and,
+/// when the loop runs over the `Intersect` just before it, takes every
+/// candidate (no label) and is not the split point, the pc of that
+/// `Intersect`.
+fn count_leaf_shape(plan: &CompiledPlan) -> (Option<usize>, Option<usize>) {
+    let n = plan.instrs.len();
+    if plan.expansion.is_some() || n < 3 || !matches!(plan.instrs[n - 1], CInstr::Report) {
+        return (None, None);
+    }
+    let fpc = n - 2;
+    let CInstr::Foreach {
+        vertex,
+        source,
+        is_second,
+    } = &plan.instrs[fpc]
+    else {
+        return (None, None);
+    };
+    let leaf = match &plan.instrs[fpc - 1] {
+        CInstr::Intersect { target, .. }
+            if target == source && plan.labels[*vertex].is_none() && !is_second =>
+        {
+            Some(fpc - 1)
+        }
+        _ => None,
+    };
+    (Some(fpc), leaf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1058,7 +1283,7 @@ mod tests {
 
         // Whole-graph count via unsplit tasks.
         let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CountingConsumer::default();
+        let mut c = CountingConsumer;
         let whole = engine.run_all_vertices(&mut c).matches;
 
         // Same count via split tasks with τ = 5.
@@ -1083,7 +1308,7 @@ mod tests {
         let source = InMemorySource::from_graph(&g);
         let order = benu_graph::TotalOrder::new(&g);
         let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CountingConsumer::default();
+        let mut c = CountingConsumer;
         let m = engine.run_all_vertices(&mut c);
         assert_eq!(m.matches, 4); // 4 triangles in K4
         assert!(m.dbq_executions > 0);
@@ -1103,7 +1328,7 @@ mod tests {
         let source = InMemorySource::from_graph(&g);
         let order = benu_graph::TotalOrder::new(&g);
         let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CountingConsumer::default();
+        let mut c = CountingConsumer;
         let m = engine.run_all_vertices(&mut c);
         let registry = benu_obs::Registry::new();
         m.record_into(&registry);
@@ -1138,7 +1363,7 @@ mod tests {
         let source = InMemorySource::from_graph(&g);
         let order = benu_graph::TotalOrder::new(&g);
         let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CountingConsumer::default();
+        let mut c = CountingConsumer;
         engine.run_all_vertices(&mut c);
         assert!(engine.triangle_cache_stats().hits > 0);
     }
@@ -1187,7 +1412,7 @@ mod tests {
         let source = InMemorySource::from_graph(&g);
         let order = benu_graph::TotalOrder::new(&g);
         let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CountingConsumer::default();
+        let mut c = CountingConsumer;
         let m = engine.run_all_vertices(&mut c);
         assert_eq!(m.matches, 252); // C(10,5)
         let stats = engine.clique_cache_stats();
@@ -1225,7 +1450,7 @@ mod tests {
         let source = InMemorySource::from_graph(&g);
         let order = benu_graph::TotalOrder::new(&g);
         let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CountingConsumer::default();
+        let mut c = CountingConsumer;
         engine.run_all_vertices(&mut c);
         let warm = engine.pool_stats();
         assert!(
@@ -1344,7 +1569,7 @@ mod tests {
         let source = InMemorySource::from_graph(&g);
         let order = benu_graph::TotalOrder::new(&g);
         let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CountingConsumer::default();
+        let mut c = CountingConsumer;
         let m = engine.run_all_vertices(&mut c);
         assert!(
             m.kcache_executions > 0,

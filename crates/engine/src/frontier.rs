@@ -29,7 +29,7 @@
 
 use crate::compile::{CInstr, CompiledPlan};
 use crate::consumer::MatchConsumer;
-use crate::exec::{LocalEngine, PoolStats, Slot, StraightEnd, TaskMetrics, UNSET};
+use crate::exec::{loop_range, LocalEngine, PoolStats, Slot, StraightEnd, TaskMetrics, UNSET};
 use crate::source::DataSource;
 use crate::task::SearchTask;
 use benu_graph::{AdjSet, VertexId};
@@ -285,10 +285,7 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
                             unreachable!("exec_straight stops only at Foreach")
                         };
                         let items = snap.slots[*source].as_slice();
-                        let range = match (is_second, task.split) {
-                            (true, Some(split)) => split.range(items.len()),
-                            _ => 0..items.len(),
-                        };
+                        let range = loop_range(*is_second, &task, items.len());
                         let considered = (range.end - range.start) as u64;
                         metrics.enu_candidates += considered;
                         let mut survivors = 0u64;
@@ -399,7 +396,9 @@ fn segment_getadj(plan: &CompiledPlan, pc: usize) -> Vec<usize> {
 /// frontier level can save store traffic: the loop body either fetches
 /// adjacency itself or opens a deeper loop that will. A fetch-free body
 /// (the innermost level of uncompressed plans — just `Report`) is
-/// cheaper to run in place.
+/// cheaper to run in place, and in place it reaches the engine's
+/// count-only leaf: a count-only run counts that level's survivors
+/// instead of enumerating them (DESIGN.md §4l).
 fn expand_worthwhile(plan: &CompiledPlan, fpc: usize) -> bool {
     plan.instrs[fpc + 1..]
         .iter()
@@ -537,7 +536,7 @@ mod tests {
         let source = InMemorySource::from_graph(&g);
         let order = TotalOrder::new(&g);
         let mut dfs = LocalEngine::new(&compiled, &source, &order).with_data_labels(&data_labels);
-        let mut cd = CountingConsumer::default();
+        let mut cd = CountingConsumer;
         let mut dm = TaskMetrics::default();
         for &t in &tasks {
             dm += dfs.run_task(t, &mut cd);
@@ -545,7 +544,7 @@ mod tests {
 
         let engine = LocalEngine::new(&compiled, &source, &order).with_data_labels(&data_labels);
         let mut fe = FrontierEngine::new(engine, MemoryBudget::unbounded());
-        let mut cf = CountingConsumer::default();
+        let mut cf = CountingConsumer;
         let fm = fe.run_batch(&tasks, &mut cf);
         assert_eq!(fm, dm, "labeled metrics diverge");
     }
@@ -561,7 +560,7 @@ mod tests {
         let dfs_store = Arc::new(KvStore::from_graph(&g, 4));
         let dfs_src = KvSource::new(Arc::clone(&dfs_store), Arc::new(DbCache::new(0, 1)));
         let mut dfs = LocalEngine::new(&compiled, &dfs_src, &order);
-        let mut cd = CountingConsumer::default();
+        let mut cd = CountingConsumer;
         let mut dm = TaskMetrics::default();
         for &t in &tasks {
             dm += dfs.run_task(t, &mut cd);
@@ -571,7 +570,7 @@ mod tests {
         let fr_src = KvSource::new(Arc::clone(&fr_store), Arc::new(DbCache::new(0, 1)));
         let engine = LocalEngine::new(&compiled, &fr_src, &order);
         let mut fe = FrontierEngine::new(engine, MemoryBudget::unbounded());
-        let mut cf = CountingConsumer::default();
+        let mut cf = CountingConsumer;
         let fm = fe.run_batch(&tasks, &mut cf);
 
         assert_eq!(fm, dm, "kv-backed frontier diverges from DFS");
@@ -598,7 +597,7 @@ mod tests {
         let engine = LocalEngine::new(&compiled, &source, &order);
         let mut fe = FrontierEngine::new(engine, MemoryBudget::unbounded());
         let tasks = crate::task::generate_tasks(&g, 0, compiled.second_adjacent);
-        let mut c = CountingConsumer::default();
+        let mut c = CountingConsumer;
         fe.run_batch(&tasks, &mut c);
         let warm = fe.pool_stats();
         assert!(warm.returns > 0, "thaw must return buffers: {warm:?}");

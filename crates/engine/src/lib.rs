@@ -51,7 +51,7 @@ pub fn count_embeddings(plan: &ExecutionPlan, g: &Graph) -> u64 {
     let source = InMemorySource::from_graph(g);
     let order = TotalOrder::new(g);
     let mut engine = LocalEngine::new(&compiled, &source, &order);
-    let mut consumer = CountingConsumer::default();
+    let mut consumer = CountingConsumer;
     let metrics = engine.run_all_vertices(&mut consumer);
     metrics.matches
 }
@@ -64,7 +64,7 @@ pub fn count_labeled_embeddings(plan: &ExecutionPlan, g: &Graph, data_labels: &[
     let source = InMemorySource::from_graph(g);
     let order = TotalOrder::new(g);
     let mut engine = LocalEngine::new(&compiled, &source, &order).with_data_labels(data_labels);
-    let mut consumer = CountingConsumer::default();
+    let mut consumer = CountingConsumer;
     engine.run_all_vertices(&mut consumer).matches
 }
 

@@ -323,7 +323,7 @@ mod tests {
         let source = crate::InMemorySource::from_graph(&g);
         let order = benu_graph::TotalOrder::new(&g);
         let mut engine = crate::LocalEngine::new(&compiled, &source, &order);
-        let mut c = crate::CountingConsumer::default();
+        let mut c = crate::CountingConsumer;
         let whole = engine.run_all_vertices(&mut c).matches;
         let mut split_total = 0u64;
         for t in generate_tasks_from_degrees(&degrees, tau, compiled.second_adjacent) {

@@ -158,7 +158,7 @@ mod tests {
         let compiled = CompiledPlan::compile(&plan);
         let order = benu_graph::TotalOrder::new(&g);
         let mut engine = LocalEngine::new(&compiled, &src, &order);
-        let mut consumer = CountingConsumer::default();
+        let mut consumer = CountingConsumer;
         let got = engine.run_all_vertices(&mut consumer).matches;
         assert_eq!(got, clean, "fault injection must not change results");
         assert!(src.faults() > 0);

@@ -1209,7 +1209,7 @@ fn execute_chunk(
         inner.config.triangle_cache_entries,
     )
     .with_pooling(inner.config.pooled_buffers);
-    let mut counting = CountingConsumer::default();
+    let mut counting = CountingConsumer;
     let mut collecting = CollectingConsumer::default();
     let mut metrics = TaskMetrics::default();
     let mut aborted = false;

@@ -196,7 +196,7 @@ fn match_counts_are_invariant_under_the_total_order() {
             .iter()
             .map(|order| {
                 let mut engine = LocalEngine::new(&compiled, &source, order);
-                let mut c = CountingConsumer::default();
+                let mut c = CountingConsumer;
                 engine.run_all_vertices(&mut c).matches
             })
             .collect();

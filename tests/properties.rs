@@ -146,7 +146,7 @@ fn split_tasks_partition_matches() {
         let source = InMemorySource::from_graph(&g);
         let order = benu::graph::TotalOrder::new(&g);
         let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CountingConsumer::default();
+        let mut c = CountingConsumer;
 
         let mut whole = 0u64;
         for v in g.vertices() {

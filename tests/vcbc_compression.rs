@@ -22,7 +22,7 @@ fn compressed_output_is_smaller_than_expanded() {
     let source = InMemorySource::from_graph(&g);
     let order = TotalOrder::new(&g);
     let mut engine = LocalEngine::new(&compiled, &source, &order);
-    let mut consumer = CountingConsumer::default();
+    let mut consumer = CountingConsumer;
     let m = engine.run_all_vertices(&mut consumer);
 
     assert!(m.matches > 0, "workload must produce matches");
@@ -47,7 +47,7 @@ fn compression_ratio_grows_with_non_cover_count() {
     let source = InMemorySource::from_graph(&g);
     let order = TotalOrder::new(&g);
     let mut engine = LocalEngine::new(&compiled, &source, &order);
-    let mut consumer = CountingConsumer::default();
+    let mut consumer = CountingConsumer;
     let m = engine.run_all_vertices(&mut consumer);
     // One code per centre vertex with degree ≥ 3.
     let centres = g.vertices().filter(|&v| g.degree(v) >= 3).count() as u64;
