@@ -60,4 +60,4 @@ pub use report::{RecoveryReport, RunOutcome, WorkerReport};
 pub use runtime::Cluster;
 pub use schedule::{Scheduler, SchedulerKind};
 pub use transport::{FetchError, TransportError};
-pub use worker::WorkerError;
+pub use worker::{WorkerError, WorkerSource};

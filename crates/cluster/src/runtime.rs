@@ -213,7 +213,7 @@ impl Cluster {
     /// A [`PlanBuilder`](benu_plan::PlanBuilder) calibrated per the
     /// configured [`ClusterConfig::estimator`] from the resident graph
     /// statistics: `(N, M)` for the Erdős–Rényi model, the degree
-    /// histogram's moments for Chung-Lu. [`EstimatorKind::Feedback`]
+    /// histogram's moments for Chung-Lu. [`benu_plan::EstimatorKind::Feedback`]
     /// falls back to the Chung-Lu prior here — use
     /// [`Cluster::plan_builder_with_feedback`] once a run has produced
     /// an observation.
@@ -616,7 +616,6 @@ impl Cluster {
                 let mut durations: Vec<Duration> = timed.iter().map(|&(_, d)| d).collect();
                 durations.sort_unstable();
                 let threshold = durations[((durations.len() - 1) as f64 * q) as usize];
-                let spec_errors = ErrorSlot::new();
                 let idle = StaticScheduler::new(vec![Vec::new(); p]);
                 for (i, (task, original)) in timed
                     .into_iter()
@@ -632,7 +631,8 @@ impl Cluster {
                         order: &self.order,
                         compiled: &compiled,
                         config: &self.config,
-                        errors: &spec_errors,
+                        // Speculative attempts never record a failure.
+                        errors: &errors,
                         recovery: None,
                         attempt: attempt + 1,
                     };

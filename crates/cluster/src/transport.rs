@@ -62,7 +62,9 @@ impl std::error::Error for TransportError {}
 /// availability failure; [`FetchError::Corrupt`] means the bytes
 /// arrived but failed to decode — permanent, since every replica
 /// mirrors the same value, so it fails fast without touching the retry
-/// budget.
+/// budget. [`FetchError::Missing`] is raised by the cache-fronted
+/// [`crate::WorkerSource`], for which an unknown vertex is an error;
+/// the transport itself answers `Ok(None)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FetchError {
     /// The shard kept refusing for longer than the retry policy allows.
@@ -70,6 +72,12 @@ pub enum FetchError {
     /// The stored value decoded to garbage (see
     /// [`benu_kvstore::CorruptValue`]).
     Corrupt(CorruptValue),
+    /// The store does not hold the vertex — the data graph and the task
+    /// list disagree (permanent).
+    Missing {
+        /// The unknown vertex.
+        vertex: VertexId,
+    },
 }
 
 impl FetchError {
@@ -77,7 +85,7 @@ impl FetchError {
     pub fn as_unavailable(&self) -> Option<&TransportError> {
         match self {
             FetchError::Unavailable(err) => Some(err),
-            FetchError::Corrupt(_) => None,
+            _ => None,
         }
     }
 
@@ -85,7 +93,7 @@ impl FetchError {
     pub fn as_corrupt(&self) -> Option<&CorruptValue> {
         match self {
             FetchError::Corrupt(err) => Some(err),
-            FetchError::Unavailable(_) => None,
+            _ => None,
         }
     }
 }
@@ -95,6 +103,7 @@ impl std::fmt::Display for FetchError {
         match self {
             FetchError::Unavailable(err) => err.fmt(f),
             FetchError::Corrupt(err) => err.fmt(f),
+            FetchError::Missing { vertex } => write!(f, "vertex {vertex} missing from the store"),
         }
     }
 }

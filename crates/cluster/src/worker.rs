@@ -1,4 +1,4 @@
-//! The worker thread body.
+//! The worker thread body and the worker's data source.
 //!
 //! Each simulated worker machine runs `threads_per_worker` OS threads,
 //! all executing [`Worker::run_thread`]: pull a task from the scheduler,
@@ -7,7 +7,7 @@
 //! a vertex missing from the store, a store shard that outlasts the
 //! retry policy, or a panicking task aborts the whole run with a
 //! [`WorkerError`] carrying the task, shard and attempt context instead
-//! of poisoning a thread join. Injected worker crashes are *not* errors:
+//! of failing a thread join. Injected worker crashes are *not* errors:
 //! the thread books them with the run's `RecoveryCtx` and stops, and
 //! the runtime re-executes the lost tasks in a recovery pass.
 
@@ -21,7 +21,7 @@ use benu_engine::{
     LocalEngine, MatchConsumer, MemoryBudget, PoolStats, SearchTask, TaskMetrics,
 };
 use benu_graph::{AdjSet, TotalOrder, VertexId};
-use benu_kvstore::CorruptValue;
+use benu_kvstore::{CorruptValue, KvStore};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -186,6 +186,40 @@ impl std::fmt::Display for WorkerError {
 
 impl std::error::Error for WorkerError {}
 
+impl WorkerError {
+    /// The run-aborting error for a fetch that failed while `worker`
+    /// executed `task` as execution `attempt`.
+    pub(crate) fn from_fetch(
+        worker: usize,
+        store: &KvStore,
+        error: FetchError,
+        task: Option<SearchTask>,
+        attempt: u32,
+    ) -> Self {
+        match error {
+            FetchError::Missing { vertex } => WorkerError::MissingVertex {
+                worker,
+                vertex,
+                shard: store.shard_of(vertex),
+                task,
+                attempt,
+            },
+            FetchError::Unavailable(error) => WorkerError::StoreUnavailable {
+                worker,
+                error,
+                task,
+                attempt,
+            },
+            FetchError::Corrupt(error) => WorkerError::CorruptValue {
+                worker,
+                error,
+                task,
+                attempt,
+            },
+        }
+    }
+}
+
 /// First-error slot shared by every thread of a run. Recording an error
 /// raises the abort flag; threads poll it between tasks and bail out, so
 /// one failure drains the whole cluster quickly but cleanly.
@@ -222,93 +256,27 @@ impl ErrorSlot {
     }
 }
 
-/// How a cache fill through the transport can fail.
-enum FetchFail {
-    /// The vertex genuinely does not exist (permanent).
-    Missing,
-    /// The shard's injected faults outlasted the retry policy.
-    Unavailable(TransportError),
-    /// The stored value failed to decode (permanent).
-    Corrupt(CorruptValue),
-}
-
-/// The engine's view of the data graph from inside one worker: database
-/// cache in front of the worker's [`Transport`]. Failures cannot surface
-/// through the infallible [`DataSource`] signature, so they are recorded
-/// in the [`ErrorSlot`] — with the current task, shard and attempt as
-/// context — and answered with an empty adjacency set; the run aborts
-/// before the bogus empty result can be observed as a match count.
-pub(crate) struct WorkerSource<'a> {
-    worker: usize,
+/// The engine's view of the data graph from inside one worker machine:
+/// the machine's database cache in front of its [`Transport`]. Every
+/// cache miss is a counted store round trip — the paper's
+/// communication-cost metric. A fetch that fails — a vertex the store
+/// does not hold, a shard that outlasts the retry policy, a value that
+/// fails to decode — is returned as a [`FetchError`]; the caller owns
+/// the task context and decides what the failure means.
+pub struct WorkerSource<'a> {
     transport: &'a Transport,
     cache: &'a DbCache,
-    errors: &'a ErrorSlot,
-    attempt: u32,
-    current: Mutex<Option<SearchTask>>,
 }
 
 impl<'a> WorkerSource<'a> {
-    pub(crate) fn new(
-        worker: usize,
-        transport: &'a Transport,
-        cache: &'a DbCache,
-        errors: &'a ErrorSlot,
-        attempt: u32,
-    ) -> Self {
-        WorkerSource {
-            worker,
-            transport,
-            cache,
-            errors,
-            attempt,
-            current: Mutex::new(None),
-        }
+    /// Fronts `transport` with `cache`.
+    pub fn new(transport: &'a Transport, cache: &'a DbCache) -> Self {
+        WorkerSource { transport, cache }
     }
 
-    /// Sets the task whose fetches are in flight (error context).
-    pub(crate) fn set_current(&self, task: Option<SearchTask>) {
-        *self.current.lock() = task;
-    }
-
-    fn missing(&self, vertex: VertexId) -> Arc<AdjSet> {
-        self.errors.record(WorkerError::MissingVertex {
-            worker: self.worker,
-            vertex,
-            shard: self.transport.store().shard_of(vertex),
-            task: *self.current.lock(),
-            attempt: self.attempt,
-        });
-        Arc::new(AdjSet::new())
-    }
-
-    fn unavailable(&self, error: TransportError) -> Arc<AdjSet> {
-        self.errors.record(WorkerError::StoreUnavailable {
-            worker: self.worker,
-            error,
-            task: *self.current.lock(),
-            attempt: self.attempt,
-        });
-        Arc::new(AdjSet::new())
-    }
-
-    fn corrupt(&self, error: CorruptValue) -> Arc<AdjSet> {
-        self.errors.record(WorkerError::CorruptValue {
-            worker: self.worker,
-            error,
-            task: *self.current.lock(),
-            attempt: self.attempt,
-        });
-        Arc::new(AdjSet::new())
-    }
-
-    /// Records the matching [`WorkerError`] for a failed fetch and
-    /// degrades to an empty set (the run aborts before the empty result
-    /// can be observed).
-    fn fetch_failed(&self, error: FetchError) -> Arc<AdjSet> {
-        match error {
-            FetchError::Unavailable(err) => self.unavailable(err),
-            FetchError::Corrupt(err) => self.corrupt(err),
-        }
+    /// The transport behind the cache.
+    pub fn transport(&self) -> &'a Transport {
+        self.transport
     }
 
     /// Warms the cache for a task starting at `start`: fetches the start
@@ -317,93 +285,77 @@ impl<'a> WorkerSource<'a> {
     /// miss (their later lookups count as hits); the byte accounting is
     /// exact either way. May fetch neighbours the task never expands —
     /// prefetching trades bytes for round trips.
-    pub(crate) fn prefetch_frontier(&self, start: VertexId) {
-        let adj = self.get_adj(start);
+    ///
+    /// # Errors
+    ///
+    /// The first failed fetch, as for [`DataSource::get_adj`].
+    pub(crate) fn prefetch_frontier(&self, start: VertexId) -> Result<(), FetchError> {
+        let adj = self.get_adj(start)?;
         let missing: Vec<VertexId> = adj
             .iter()
             .copied()
             .filter(|&w| !self.cache.contains(w))
             .collect();
-        if missing.is_empty() {
-            return;
+        if !missing.is_empty() {
+            self.fetch_into_cache(&missing)?;
         }
-        match self.transport.fetch_many(&missing) {
-            Ok(values) => {
-                for (i, value) in values.into_iter().enumerate() {
-                    match value {
-                        Some(adj) => self.cache.insert(missing[i], adj),
-                        None => {
-                            self.missing(missing[i]);
-                        }
-                    }
-                }
-            }
-            Err(error) => {
-                self.fetch_failed(error);
-            }
-        }
+        Ok(())
+    }
+
+    /// Fetches `keys` in one batched round trip per touched shard and
+    /// caches every value.
+    fn fetch_into_cache(&self, keys: &[VertexId]) -> Result<Vec<Arc<AdjSet>>, FetchError> {
+        let values = self.transport.fetch_many(keys)?;
+        keys.iter()
+            .zip(values)
+            .map(|(&vertex, value)| {
+                let adj = value.ok_or(FetchError::Missing { vertex })?;
+                self.cache.insert(vertex, Arc::clone(&adj));
+                Ok(adj)
+            })
+            .collect()
     }
 }
 
 impl DataSource for WorkerSource<'_> {
+    type Error = FetchError;
+
     fn num_vertices(&self) -> usize {
         self.transport.store().num_vertices()
     }
 
-    fn get_adj(&self, v: VertexId) -> Arc<AdjSet> {
-        let fetch = self
-            .cache
-            .get_or_fetch(v, || match self.transport.fetch(v) {
-                Ok(Some(adj)) => Ok(adj),
-                Ok(None) => Err(FetchFail::Missing),
-                Err(FetchError::Unavailable(error)) => Err(FetchFail::Unavailable(error)),
-                Err(FetchError::Corrupt(error)) => Err(FetchFail::Corrupt(error)),
-            });
-        match fetch {
-            Ok(adj) => adj,
-            Err(FetchFail::Missing) => self.missing(v),
-            Err(FetchFail::Unavailable(error)) => self.unavailable(error),
-            Err(FetchFail::Corrupt(error)) => self.corrupt(error),
-        }
+    fn get_adj(&self, v: VertexId) -> Result<Arc<AdjSet>, FetchError> {
+        self.cache.get_or_fetch(v, || {
+            self.transport
+                .fetch(v)?
+                .ok_or(FetchError::Missing { vertex: v })
+        })
     }
 
-    fn get_adj_batch(&self, vs: &[VertexId]) -> Vec<Arc<AdjSet>> {
-        let mut out: Vec<Option<Arc<AdjSet>>> = vec![None; vs.len()];
+    fn get_adj_batch(&self, vs: &[VertexId]) -> Result<Vec<Arc<AdjSet>>, FetchError> {
+        let mut out: Vec<Option<Arc<AdjSet>>> = Vec::with_capacity(vs.len());
         let mut missing_slots = Vec::new();
         let mut missing_keys = Vec::new();
         for (i, &v) in vs.iter().enumerate() {
-            match self.cache.get(v) {
-                Some(adj) => out[i] = Some(adj),
-                None => {
-                    missing_slots.push(i);
-                    missing_keys.push(v);
-                }
+            let hit = self.cache.get(v);
+            if hit.is_none() {
+                missing_slots.push(i);
+                missing_keys.push(v);
             }
+            out.push(hit);
         }
         if !missing_keys.is_empty() {
-            match self.transport.fetch_many(&missing_keys) {
-                Ok(values) => {
-                    for (j, value) in values.into_iter().enumerate() {
-                        out[missing_slots[j]] = Some(match value {
-                            Some(adj) => {
-                                self.cache.insert(missing_keys[j], Arc::clone(&adj));
-                                adj
-                            }
-                            None => self.missing(missing_keys[j]),
-                        });
-                    }
-                }
-                Err(error) => {
-                    let empty = self.fetch_failed(error);
-                    for &slot in &missing_slots {
-                        out[slot] = Some(Arc::clone(&empty));
-                    }
-                }
+            for (slot, adj) in missing_slots
+                .into_iter()
+                .zip(self.fetch_into_cache(&missing_keys)?)
+            {
+                out[slot] = Some(adj);
             }
         }
-        out.into_iter()
+        Ok(out
+            .into_iter()
             .map(|slot| slot.expect("every slot filled"))
-            .collect()
+            .collect())
     }
 }
 
@@ -463,7 +415,7 @@ pub struct Worker<'a> {
     pub(crate) attempt: u32,
 }
 
-impl Worker<'_> {
+impl<'a> Worker<'a> {
     /// The thread body: pulls tasks from the scheduler until exhaustion,
     /// abort, or an injected crash of this worker. `collect` switches
     /// from counting to materialising matches. Task durations include
@@ -476,22 +428,39 @@ impl Worker<'_> {
         }
     }
 
-    /// Classic task-at-a-time DFS (the paper's execution model).
-    fn run_thread_dfs(&self, collect: bool) -> Result<ThreadResult, WorkerError> {
-        let source = WorkerSource::new(
-            self.id,
-            self.transport,
-            self.cache,
-            self.errors,
-            self.attempt,
-        );
-        let mut engine = LocalEngine::with_triangle_cache(
+    /// A thread-local engine over `source`, configured per the run.
+    fn engine<'s>(&self, source: &'s WorkerSource<'a>) -> LocalEngine<'s, WorkerSource<'a>> {
+        LocalEngine::with_triangle_cache(
             self.compiled,
-            &source,
+            source,
             self.order,
             self.config.triangle_cache_entries,
         )
-        .with_pooling(self.config.pooled_buffers);
+        .with_pooling(self.config.pooled_buffers)
+    }
+
+    /// Records `err` as this run's failure (first error wins) and
+    /// returns it.
+    fn fail(&self, err: WorkerError) -> WorkerError {
+        self.errors.record(err.clone());
+        err
+    }
+
+    /// [`Worker::fail`] for a fetch that failed while running `task`.
+    fn fail_fetch(&self, error: FetchError, task: SearchTask) -> WorkerError {
+        self.fail(WorkerError::from_fetch(
+            self.id,
+            self.transport.store(),
+            error,
+            Some(task),
+            self.attempt,
+        ))
+    }
+
+    /// Classic task-at-a-time DFS (the paper's execution model).
+    fn run_thread_dfs(&self, collect: bool) -> Result<ThreadResult, WorkerError> {
+        let source = WorkerSource::new(self.transport, self.cache);
+        let mut engine = self.engine(&source);
         let mut counting = CountingConsumer;
         let mut collecting = CollectingConsumer::default();
         let mut result = ThreadResult::empty();
@@ -505,9 +474,10 @@ impl Worker<'_> {
             let Some(task) = self.scheduler.next(self.id) else {
                 break;
             };
-            source.set_current(Some(task));
             if prefetch {
-                source.prefetch_frontier(task.start);
+                if let Err(error) = source.prefetch_frontier(task.start) {
+                    return Err(self.fail_fetch(error, task));
+                }
             }
             let t0 = Instant::now();
             let run = catch_unwind(AssertUnwindSafe(|| {
@@ -516,11 +486,11 @@ impl Worker<'_> {
                 } else {
                     &mut counting
                 };
-                engine.run_task(task, consumer)
+                engine.try_run_task(task, consumer)
             }));
             let dt = t0.elapsed() + Transport::take_task_penalty();
             match run {
-                Ok(metrics) => {
+                Ok(Ok(metrics)) => {
                     result.metrics += metrics;
                     result.executed += 1;
                     if self.config.collect_cost_profile {
@@ -529,14 +499,13 @@ impl Worker<'_> {
                             .push((task, crate::balance::vticks(&metrics)));
                     }
                 }
+                Ok(Err(error)) => return Err(self.fail_fetch(error, task)),
                 Err(_) => {
-                    let err = WorkerError::TaskPanicked {
+                    return Err(self.fail(WorkerError::TaskPanicked {
                         worker: self.id,
                         task,
                         attempt: self.attempt,
-                    };
-                    self.errors.record(err.clone());
-                    return Err(err);
+                    }));
                 }
             }
             result.busy += dt;
@@ -559,7 +528,6 @@ impl Worker<'_> {
                 }
             }
         }
-        source.set_current(None);
         result.tri_stats = engine.triangle_cache_stats();
         result.pool = engine.pool_stats();
         if collect {
@@ -581,22 +549,9 @@ impl Worker<'_> {
     /// DFS at the current batch, which always runs to completion — crash
     /// recovery requeues whole tasks, and spills land on task boundaries.
     fn run_thread_hybrid(&self, collect: bool) -> Result<ThreadResult, WorkerError> {
-        let source = WorkerSource::new(
-            self.id,
-            self.transport,
-            self.cache,
-            self.errors,
-            self.attempt,
-        );
-        let engine = LocalEngine::with_triangle_cache(
-            self.compiled,
-            &source,
-            self.order,
-            self.config.triangle_cache_entries,
-        )
-        .with_pooling(self.config.pooled_buffers);
+        let source = WorkerSource::new(self.transport, self.cache);
         let per_thread = self.config.memory_budget_bytes / self.config.threads_per_worker.max(1);
-        let mut fe = FrontierEngine::new(engine, MemoryBudget::bytes(per_thread));
+        let mut fe = FrontierEngine::new(self.engine(&source), MemoryBudget::bytes(per_thread));
         let mut counting = CountingConsumer;
         let mut collecting = CollectingConsumer::default();
         let mut result = ThreadResult::empty();
@@ -616,9 +571,6 @@ impl Worker<'_> {
             if batch.is_empty() {
                 break;
             }
-            // Error context names the batch head; the batch shares its
-            // store traffic, so a finer attribution does not exist.
-            source.set_current(Some(batch[0]));
             let t0 = Instant::now();
             let run = catch_unwind(AssertUnwindSafe(|| {
                 let consumer: &mut dyn MatchConsumer = if collect {
@@ -626,22 +578,23 @@ impl Worker<'_> {
                 } else {
                     &mut counting
                 };
-                fe.run_batch(&batch, consumer)
+                fe.try_run_batch(&batch, consumer)
             }));
             let dt = t0.elapsed() + Transport::take_task_penalty();
+            // Errors name the batch head; the batch shares its store
+            // traffic, so a finer attribution does not exist.
             match run {
-                Ok(metrics) => {
+                Ok(Ok(metrics)) => {
                     result.metrics += metrics;
                     result.executed += batch.len();
                 }
+                Ok(Err(error)) => return Err(self.fail_fetch(error, batch[0])),
                 Err(_) => {
-                    let err = WorkerError::TaskPanicked {
+                    return Err(self.fail(WorkerError::TaskPanicked {
                         worker: self.id,
                         task: batch[0],
                         attempt: self.attempt,
-                    };
-                    self.errors.record(err.clone());
-                    return Err(err);
+                    }));
                 }
             }
             result.busy += dt;
@@ -675,7 +628,6 @@ impl Worker<'_> {
                 }
             }
         }
-        source.set_current(None);
         result.tri_stats = fe.triangle_cache_stats();
         result.pool = fe.pool_stats();
         result.frontier = fe.stats();
@@ -690,31 +642,20 @@ impl Worker<'_> {
 
     /// Executes one task speculatively: same engine, throwaway consumer,
     /// result discarded. Returns the attempt's duration (wall time plus
-    /// charged virtual latency), or `None` if the attempt panicked. The
-    /// caller provides a throwaway [`ErrorSlot`], so speculative store
-    /// failures never poison the completed run.
+    /// charged virtual latency), or `None` if the attempt panicked or a
+    /// fetch failed. Nothing is recorded in the run's error slot, so a
+    /// failed speculative attempt never fails the completed run.
     pub(crate) fn run_speculative(&self, task: SearchTask) -> Option<Duration> {
-        let source = WorkerSource::new(
-            self.id,
-            self.transport,
-            self.cache,
-            self.errors,
-            self.attempt,
-        );
-        source.set_current(Some(task));
-        let mut engine = LocalEngine::with_triangle_cache(
-            self.compiled,
-            &source,
-            self.order,
-            self.config.triangle_cache_entries,
-        )
-        .with_pooling(self.config.pooled_buffers);
+        let source = WorkerSource::new(self.transport, self.cache);
+        let mut engine = self.engine(&source);
         let mut consumer = CountingConsumer;
         let _ = Transport::take_task_penalty();
         let t0 = Instant::now();
-        let run = catch_unwind(AssertUnwindSafe(|| engine.run_task(task, &mut consumer)));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            engine.try_run_task(task, &mut consumer)
+        }));
         let dt = t0.elapsed() + Transport::take_task_penalty();
-        run.ok().map(|_| dt)
+        matches!(run, Ok(Ok(_))).then_some(dt)
     }
 }
 
@@ -723,50 +664,67 @@ mod tests {
     use super::*;
     use benu_engine::SplitSpec;
     use benu_graph::gen;
-    use benu_kvstore::KvStore;
 
-    fn harness(shards: usize) -> (Transport, DbCache, ErrorSlot) {
+    fn harness(shards: usize) -> (Transport, DbCache) {
         let g = gen::complete(5);
         (
             Transport::new(Arc::new(KvStore::from_graph(&g, shards))),
             DbCache::new(1 << 16, 2),
-            ErrorSlot::new(),
         )
     }
 
     #[test]
-    fn missing_vertex_records_error_and_returns_empty_set() {
-        let (transport, cache, errors) = harness(2);
-        let source = WorkerSource::new(3, &transport, &cache, &errors, 1);
-        let adj = source.get_adj(99);
-        assert!(adj.is_empty());
-        assert!(errors.aborted());
+    fn missing_vertex_returns_a_structured_error() {
+        let (transport, cache) = harness(2);
+        let source = WorkerSource::new(&transport, &cache);
+        let err = source.get_adj(99).unwrap_err();
+        assert_eq!(err, FetchError::Missing { vertex: 99 });
         assert_eq!(
-            errors.first(),
-            Some(WorkerError::MissingVertex {
+            WorkerError::from_fetch(3, transport.store(), err, None, 1),
+            WorkerError::MissingVertex {
                 worker: 3,
                 vertex: 99,
                 shard: 1,
                 task: None,
                 attempt: 1,
-            })
+            }
         );
     }
 
     #[test]
-    fn errors_carry_the_current_task_context() {
-        let (transport, cache, errors) = harness(2);
-        let source = WorkerSource::new(0, &transport, &cache, &errors, 2);
+    fn missing_vertex_fails_single_and_batched_lookups_alike() {
+        let g = gen::complete(6);
+        let mut store = KvStore::from_graph(&g, 3);
+        assert!(store.remove_vertex(4), "corrupt the store");
+        let transport = Transport::new(Arc::new(store));
+        let cache = DbCache::new(1 << 16, 2);
+        let source = WorkerSource::new(&transport, &cache);
+        assert_eq!(source.get_adj(4), Err(FetchError::Missing { vertex: 4 }));
+        assert_eq!(
+            source.get_adj_batch(&[0, 4, 5]),
+            Err(FetchError::Missing { vertex: 4 })
+        );
+        assert_eq!(source.get_adj(5).unwrap().as_slice(), g.neighbors(5));
+    }
+
+    #[test]
+    fn fetch_errors_carry_the_task_context() {
+        let (transport, _) = harness(2);
         let task = SearchTask {
             start: 3,
             split: Some(SplitSpec { index: 1, total: 5 }),
         };
-        source.set_current(Some(task));
-        source.get_adj(42);
-        match errors.first() {
-            Some(WorkerError::MissingVertex {
+        let err = WorkerError::from_fetch(
+            0,
+            transport.store(),
+            FetchError::Missing { vertex: 42 },
+            Some(task),
+            2,
+        );
+        match err {
+            WorkerError::MissingVertex {
                 task: t, attempt, ..
-            }) => {
+            } => {
                 assert_eq!(t, Some(task));
                 assert_eq!(attempt, 2);
             }
@@ -788,11 +746,11 @@ mod tests {
 
     #[test]
     fn batch_lookup_serves_cache_hits_without_round_trips() {
-        let (transport, cache, errors) = harness(2);
-        let source = WorkerSource::new(0, &transport, &cache, &errors, 1);
-        source.get_adj(0);
+        let (transport, cache) = harness(2);
+        let source = WorkerSource::new(&transport, &cache);
+        source.get_adj(0).unwrap();
         let before = transport.requests();
-        let sets = source.get_adj_batch(&[0, 1, 2]);
+        let sets = source.get_adj_batch(&[0, 1, 2]).unwrap();
         assert_eq!(sets.len(), 3);
         assert_eq!(sets[0].len(), 4);
         // Vertex 0 was cached; 1 and 2 arrive via one batched trip each
@@ -803,9 +761,9 @@ mod tests {
 
     #[test]
     fn prefetch_warms_the_cache_in_one_batched_trip() {
-        let (transport, cache, errors) = harness(1);
-        let source = WorkerSource::new(0, &transport, &cache, &errors, 1);
-        source.prefetch_frontier(0);
+        let (transport, cache) = harness(1);
+        let source = WorkerSource::new(&transport, &cache);
+        source.prefetch_frontier(0).unwrap();
         // Start vertex + its 4 neighbours are now cached.
         for v in 0..5 {
             assert!(cache.contains(v));
@@ -814,13 +772,12 @@ mod tests {
         assert_eq!(transport.requests(), 2);
         assert_eq!(transport.batch_round_trips(), 1);
         // Re-prefetching is free.
-        source.prefetch_frontier(0);
+        source.prefetch_frontier(0).unwrap();
         assert_eq!(transport.requests(), 2);
-        assert!(!errors.aborted());
     }
 
     #[test]
-    fn exhausted_store_records_unavailable_with_context() {
+    fn exhausted_store_returns_unavailable_with_context() {
         use benu_fault::{FaultPlan, RetryPolicy};
         let g = gen::complete(5);
         let transport = Transport::with_faults(
@@ -832,20 +789,17 @@ mod tests {
             },
         );
         let cache = DbCache::new(0, 2);
-        let errors = ErrorSlot::new();
-        let source = WorkerSource::new(1, &transport, &cache, &errors, 1);
-        source.set_current(Some(SearchTask::whole(4)));
-        for v in 0..5 {
-            source.get_adj(v);
-        }
-        assert!(errors.aborted(), "rate 0.995 with 2 attempts must exhaust");
-        match errors.first() {
-            Some(WorkerError::StoreUnavailable {
+        let source = WorkerSource::new(&transport, &cache);
+        let err = (0..5)
+            .find_map(|v| source.get_adj(v).err())
+            .expect("rate 0.995 with 2 attempts must exhaust");
+        match WorkerError::from_fetch(1, transport.store(), err, Some(SearchTask::whole(4)), 1) {
+            WorkerError::StoreUnavailable {
                 worker,
                 error,
                 task,
                 ..
-            }) => {
+            } => {
                 assert_eq!(worker, 1);
                 assert_eq!(error.attempts, 2);
                 assert_eq!(task, Some(SearchTask::whole(4)));
@@ -914,25 +868,21 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_value_records_structured_error_and_degrades() {
+    fn corrupt_value_returns_a_structured_error() {
         let g = gen::complete(5);
         let mut store = KvStore::from_graph(&g, 2);
         assert!(store.corrupt_value(2));
         let transport = Transport::new(Arc::new(store));
         let cache = DbCache::new(1 << 16, 2);
-        let errors = ErrorSlot::new();
-        let source = WorkerSource::new(4, &transport, &cache, &errors, 1);
-        source.set_current(Some(SearchTask::whole(2)));
-        let adj = source.get_adj(2);
-        assert!(adj.is_empty(), "corrupt fetch degrades to an empty set");
-        assert!(errors.aborted());
-        match errors.first() {
-            Some(WorkerError::CorruptValue {
+        let source = WorkerSource::new(&transport, &cache);
+        let err = source.get_adj(2).unwrap_err();
+        match WorkerError::from_fetch(4, transport.store(), err, Some(SearchTask::whole(2)), 1) {
+            WorkerError::CorruptValue {
                 worker,
                 error,
                 task,
                 attempt,
-            }) => {
+            } => {
                 assert_eq!(worker, 4);
                 assert_eq!(error.vertex, 2);
                 assert_eq!(task, Some(SearchTask::whole(2)));
@@ -940,5 +890,118 @@ mod tests {
             }
             other => panic!("expected CorruptValue, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn worker_source_counts_misses_only() {
+        let g = gen::complete(5);
+        let store = Arc::new(KvStore::from_graph(&g, 2));
+        let transport = Transport::new(Arc::clone(&store));
+        let cache = DbCache::new(1 << 16, 2);
+        let src = WorkerSource::new(&transport, &cache);
+        for _ in 0..3 {
+            src.get_adj(0).unwrap();
+        }
+        assert_eq!(store.stats().requests, 1, "two hits served by the cache");
+        assert_eq!(cache.stats().hits, 2);
+        assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn worker_source_batch_groups_round_trips_and_warms_the_cache() {
+        let g = gen::complete(6);
+        let store = Arc::new(KvStore::from_graph(&g, 3));
+        let transport = Transport::new(Arc::clone(&store));
+        let cache = DbCache::new(1 << 16, 2);
+        let src = WorkerSource::new(&transport, &cache);
+        let all: Vec<VertexId> = g.vertices().collect();
+        let sets = src.get_adj_batch(&all).unwrap();
+        for (&v, adj) in all.iter().zip(&sets) {
+            assert_eq!(adj.as_slice(), g.neighbors(v));
+        }
+        let cold = store.stats();
+        assert_eq!(cold.requests, 3, "one round trip per touched shard");
+        assert_eq!(cold.keys, 6);
+        // A second batch is fully served by the cache.
+        src.get_adj_batch(&all).unwrap();
+        assert_eq!(store.stats().requests, cold.requests);
+    }
+
+    #[test]
+    fn worker_source_batch_with_repeated_ids_stays_aligned_and_dedups() {
+        let g = gen::complete(6);
+        let store = Arc::new(KvStore::from_graph(&g, 3));
+        let transport = Transport::new(Arc::clone(&store));
+        // Cache disabled: every occurrence reaches the store's batch path.
+        let cache = DbCache::new(0, 1);
+        let src = WorkerSource::new(&transport, &cache);
+        let keys = [5u32, 2, 5, 5, 2, 0];
+        let sets = src.get_adj_batch(&keys).unwrap();
+        for (i, &v) in keys.iter().enumerate() {
+            assert_eq!(
+                sets[i].as_slice(),
+                g.neighbors(v),
+                "slot {i} must still hold vertex {v}"
+            );
+        }
+        let stats = store.stats();
+        assert_eq!(stats.keys, 3, "hub repeats are served once");
+        assert_eq!(stats.deduped_keys, 3, "saved lookups are counted");
+    }
+
+    #[test]
+    fn worker_source_with_disabled_cache_hits_store_every_time() {
+        let g = gen::complete(4);
+        let store = Arc::new(KvStore::from_graph(&g, 1));
+        let transport = Transport::new(Arc::clone(&store));
+        let cache = DbCache::new(0, 1);
+        let src = WorkerSource::new(&transport, &cache);
+        src.get_adj(1).unwrap();
+        src.get_adj(1).unwrap();
+        assert_eq!(store.stats().requests, 2);
+    }
+
+    #[test]
+    fn frontier_batches_cut_store_round_trips() {
+        use benu_pattern::queries;
+        use benu_plan::PlanBuilder;
+        let g = gen::barabasi_albert(150, 4, 3);
+        let plan = PlanBuilder::new(&queries::q5()).best_plan();
+        let compiled = CompiledPlan::compile(&plan);
+        let order = TotalOrder::new(&g);
+        let tasks = benu_engine::task::generate_tasks(&g, 0, compiled.second_adjacent);
+
+        let dfs_store = Arc::new(KvStore::from_graph(&g, 4));
+        let dfs_transport = Transport::new(Arc::clone(&dfs_store));
+        let dfs_cache = DbCache::new(0, 1);
+        let dfs_src = WorkerSource::new(&dfs_transport, &dfs_cache);
+        let mut dfs = LocalEngine::new(&compiled, &dfs_src, &order);
+        let mut cd = CountingConsumer;
+        let mut dm = TaskMetrics::default();
+        for &t in &tasks {
+            dm += dfs.try_run_task(t, &mut cd).unwrap();
+        }
+
+        let fr_store = Arc::new(KvStore::from_graph(&g, 4));
+        let fr_transport = Transport::new(Arc::clone(&fr_store));
+        let fr_cache = DbCache::new(0, 1);
+        let fr_src = WorkerSource::new(&fr_transport, &fr_cache);
+        let engine = LocalEngine::new(&compiled, &fr_src, &order);
+        let mut fe = FrontierEngine::new(engine, MemoryBudget::unbounded());
+        let mut cf = CountingConsumer;
+        let fm = fe.try_run_batch(&tasks, &mut cf).unwrap();
+
+        assert_eq!(fm, dm, "kv-backed frontier diverges from DFS");
+        let (d, f) = (dfs_store.stats(), fr_store.stats());
+        assert!(
+            f.requests < d.requests / 4,
+            "batching should collapse round trips: dfs {} vs frontier {}",
+            d.requests,
+            f.requests
+        );
+        assert!(
+            f.keys <= d.keys,
+            "deduplicated levels fetch no more keys than DFS"
+        );
     }
 }

@@ -24,6 +24,7 @@ use benu_graph::ops::{intersect_into, intersect_many_into};
 use benu_graph::view;
 use benu_graph::{AdjSet, AdjView, TotalOrder, VertexId};
 use benu_plan::FilterOp;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Marker for an unmapped pattern vertex.
@@ -436,7 +437,18 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
     }
 
     /// Runs one local search task, reporting into `consumer`.
-    pub fn run_task(&mut self, task: SearchTask, consumer: &mut dyn MatchConsumer) -> TaskMetrics {
+    ///
+    /// # Errors
+    ///
+    /// The first failed source lookup: the task stops at that fetch and
+    /// issues no further ones. Whatever it already reported is partial,
+    /// so the caller reruns the task or discards its output. The engine
+    /// itself stays reusable — the next task starts from a clean state.
+    pub fn try_run_task(
+        &mut self,
+        task: SearchTask,
+        consumer: &mut dyn MatchConsumer,
+    ) -> Result<TaskMetrics, S::Error> {
         let mut metrics = TaskMetrics::default();
         self.f.fill(UNSET);
         self.slot_epoch += 1;
@@ -447,8 +459,8 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
             // which the pool hands back to this task's first takes.
             self.recycle_slots();
         }
-        self.step(0, &task, consumer, &mut metrics);
-        metrics
+        self.step(0, &task, consumer, &mut metrics)?;
+        Ok(metrics)
     }
 
     fn recycle_slots(&mut self) {
@@ -466,16 +478,6 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
     /// BFS expansion pool-backed like the DFS slot file).
     pub(crate) fn pool_put(&mut self, buf: Vec<VertexId>) {
         self.pool.put(buf);
-    }
-
-    /// Runs an unsplit task for every data vertex (the sequential version
-    /// of Algorithm 2's parallel loop).
-    pub fn run_all_vertices(&mut self, consumer: &mut dyn MatchConsumer) -> TaskMetrics {
-        let mut total = TaskMetrics::default();
-        for v in 0..self.source.num_vertices() as VertexId {
-            total += self.run_task(SearchTask::whole(v), consumer);
-        }
-        total
     }
 
     /// Triangle-cache statistics of this engine's thread.
@@ -519,8 +521,8 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
         task: &SearchTask,
         consumer: &mut dyn MatchConsumer,
         metrics: &mut TaskMetrics,
-    ) {
-        match self.exec_straight(pc, task, consumer, metrics) {
+    ) -> Result<(), S::Error> {
+        match self.exec_straight(pc, task, consumer, metrics)? {
             StraightEnd::Pruned | StraightEnd::Done => {}
             StraightEnd::Foreach(fpc) => {
                 let plan = self.plan;
@@ -571,7 +573,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                         }
                         survivors += 1;
                         self.f[vertex] = x;
-                        self.step(fpc + 1, task, consumer, metrics);
+                        self.step(fpc + 1, task, consumer, metrics)?;
                     }
                     self.f[vertex] = UNSET;
                     survivors
@@ -583,6 +585,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                 }
             }
         }
+        Ok(())
     }
 
     /// Executes the straight-line segment starting at `pc`: every
@@ -590,14 +593,15 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
     /// the end of the plan. This is the resumable core both execution
     /// strategies share — [`LocalEngine::step`] recurses at the returned
     /// `Foreach`, the frontier engine materialises its candidates
-    /// breadth-first instead.
+    /// breadth-first instead. A failed source lookup ends the segment
+    /// with the error.
     pub(crate) fn exec_straight(
         &mut self,
         mut pc: usize,
         task: &SearchTask,
         consumer: &mut dyn MatchConsumer,
         metrics: &mut TaskMetrics,
-    ) -> StraightEnd {
+    ) -> Result<StraightEnd, S::Error> {
         // Copy the plan reference out of `self` so matching on
         // instructions does not hold a borrow of the whole engine.
         let plan = self.plan;
@@ -605,7 +609,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
             match &plan.instrs[pc] {
                 CInstr::Init { vertex } => {
                     if !self.label_ok(*vertex, task.start) {
-                        return StraightEnd::Pruned; // the start vertex cannot host this task
+                        return Ok(StraightEnd::Pruned); // the start vertex cannot host this task
                     }
                     self.f[*vertex] = task.start;
                 }
@@ -616,10 +620,10 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     let adj = if self.adj_override.enabled {
                         match self.adj_override.map.get(&v) {
                             Some(a) => Arc::clone(a),
-                            None => self.source.get_adj(v),
+                            None => self.source.get_adj(v)?,
                         }
                     } else {
-                        self.source.get_adj(v)
+                        self.source.get_adj(v)?
                     };
                     if let Some(s) = metrics.obs.slot_mut(pc) {
                         s.candidates += 1;
@@ -633,7 +637,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     filters,
                 } => {
                     if Some(pc) == self.leaf_intersect && self.counts_only(consumer) {
-                        return self.count_leaf(pc, operands, filters, metrics);
+                        return Ok(self.count_leaf(pc, operands, filters, metrics));
                     }
                     metrics.int_executions += 1;
                     self.slot_epoch += 1;
@@ -650,7 +654,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     }
                     self.slots[target] = Slot::Buf(buf);
                     if empty {
-                        return StraightEnd::Pruned; // failed partial match: backtrack
+                        return Ok(StraightEnd::Pruned); // failed partial match: backtrack
                     }
                 }
                 CInstr::TCache {
@@ -736,7 +740,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                         empty
                     };
                     if empty {
-                        return StraightEnd::Pruned;
+                        return Ok(StraightEnd::Pruned);
                     }
                 }
                 CInstr::KCache {
@@ -865,13 +869,13 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                         }
                     };
                     if empty {
-                        return StraightEnd::Pruned;
+                        return Ok(StraightEnd::Pruned);
                     }
                 }
                 CInstr::Foreach { .. } => {
                     // The caller owns loop strategy; everything from here
                     // on is the loop body.
-                    return StraightEnd::Foreach(pc);
+                    return Ok(StraightEnd::Foreach(pc));
                 }
                 CInstr::Report => {
                     self.report(consumer, metrics);
@@ -879,7 +883,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
             }
             pc += 1;
         }
-        StraightEnd::Done
+        Ok(StraightEnd::Done)
     }
 
     /// Count-only evaluation of the leaf `Intersect` at `pc` together with
@@ -1164,6 +1168,24 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                 self.label_scratch = label_scratch;
             }
         }
+    }
+}
+
+impl<S: DataSource<Error = Infallible> + ?Sized> LocalEngine<'_, S> {
+    /// [`LocalEngine::try_run_task`] for a source that cannot fail.
+    pub fn run_task(&mut self, task: SearchTask, consumer: &mut dyn MatchConsumer) -> TaskMetrics {
+        let Ok(metrics) = self.try_run_task(task, consumer);
+        metrics
+    }
+
+    /// Runs an unsplit task for every data vertex (the sequential version
+    /// of Algorithm 2's parallel loop).
+    pub fn run_all_vertices(&mut self, consumer: &mut dyn MatchConsumer) -> TaskMetrics {
+        let mut total = TaskMetrics::default();
+        for v in 0..self.source.num_vertices() as VertexId {
+            total += self.run_task(SearchTask::whole(v), consumer);
+        }
+        total
     }
 }
 
@@ -1529,7 +1551,7 @@ mod tests {
         let g = gen::barabasi_albert(120, 20, 17);
         let source = InMemorySource::from_graph(&g);
         let dense = (0..g.num_vertices() as VertexId)
-            .filter(|&v| source.get_adj(v).has_blocks())
+            .filter(|&v| source.get_adj(v).unwrap().has_blocks())
             .count();
         assert!(dense > 0, "no vertex reached the block threshold");
         for (name, plan) in [

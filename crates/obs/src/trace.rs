@@ -85,7 +85,7 @@ impl Tracer {
             span: span.to_string(),
             enter,
         };
-        self.events.lock().expect("tracer poisoned").push(event);
+        self.events.lock().expect("tracer lock").push(event);
     }
 
     /// Enters a span; the returned guard records the exit on drop.
@@ -99,7 +99,7 @@ impl Tracer {
 
     /// A copy of all recorded events, in sequence order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = self.events.lock().expect("tracer poisoned").clone();
+        let mut out = self.events.lock().expect("tracer lock").clone();
         out.sort_by_key(|e| e.seq);
         out
     }

@@ -9,6 +9,7 @@
 //! while every other in-flight query keeps running. Nothing on the
 //! request path panics.
 
+use benu_cluster::FetchError;
 use benu_graph::VertexId;
 
 /// Why one query failed. Carried inside [`crate::Terminal::Failed`];
@@ -59,6 +60,14 @@ pub enum ServiceError {
         /// The chunk it was holding.
         chunk: usize,
     },
+    /// The engine panicked while executing this query's chunk — an
+    /// input the engine cannot run (for example a labeled pattern on a
+    /// graph served without labels). The panic is caught at the chunk
+    /// boundary: the serving worker survives and the query fails.
+    ChunkPanicked {
+        /// The chunk whose execution panicked.
+        chunk: usize,
+    },
 }
 
 impl ServiceError {
@@ -69,6 +78,7 @@ impl ServiceError {
             ServiceError::StoreUnavailable { .. } => "store_unavailable",
             ServiceError::CorruptValue { .. } => "corrupt_value",
             ServiceError::WorkerLost { .. } => "worker_lost",
+            ServiceError::ChunkPanicked { .. } => "chunk_panicked",
         }
     }
 
@@ -111,11 +121,37 @@ impl std::fmt::Display for ServiceError {
                 f,
                 "serving worker {lane} crashed on chunk {chunk} with no survivors"
             ),
+            ServiceError::ChunkPanicked { chunk } => {
+                write!(f, "execution of chunk {chunk} panicked")
+            }
         }
     }
 }
 
 impl std::error::Error for ServiceError {}
+
+/// A failed fetch from a worker's cache-fronted store: the worker's
+/// serve path has no fault plan, so an unavailable shard means the store
+/// itself refused, surfaced with the transport's own attempt accounting.
+impl From<FetchError> for ServiceError {
+    fn from(err: FetchError) -> Self {
+        match err {
+            FetchError::Unavailable(err) => ServiceError::RetryExhausted {
+                vertex: err.vertex,
+                shard: err.shard,
+                attempts: err.attempts,
+            },
+            FetchError::Corrupt(err) => ServiceError::CorruptValue {
+                vertex: err.vertex,
+                detail: err.error.to_string(),
+            },
+            FetchError::Missing { vertex } => ServiceError::CorruptValue {
+                vertex,
+                detail: "missing from the resident store".into(),
+            },
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@
 //! [`KvStore`] plus one persistent per-worker [`DbCache`] — and serves
 //! any number of concurrent pattern queries against it. Admission
 //! compiles (or plan-cache-resolves) the pattern, evaluates the
-//! [`crate::admission`] gates against the current backlog, generates
+//! admission gates (`admission.rs`) against the current backlog, generates
 //! the split task list exactly as the batch [`benu_cluster::Cluster`]
 //! would, and enqueues fixed task-index-range *chunks* into the
 //! weighted round-robin [`crate::fair`] queue. Worker threads pull one
@@ -38,8 +38,8 @@ use crate::error::ServiceError;
 use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 use crate::query::{QueryId, QueryOptions, QueryResult, QueryStatus, Terminal};
 use benu_cache::{CacheObs, DbCache};
-use benu_cluster::transport::{FetchError, Transport};
-use benu_cluster::ExecMode;
+use benu_cluster::transport::Transport;
+use benu_cluster::{ExecMode, WorkerSource};
 use benu_engine::{
     CollectingConsumer, CountingConsumer, DataSource, FrontierEngine, LocalEngine, MatchConsumer,
     MemoryBudget, SearchTask, TaskMetrics,
@@ -52,6 +52,7 @@ use benu_pattern::canonical::fingerprint;
 use benu_pattern::{Pattern, PatternVertex};
 use benu_plan::{ChungLuEstimator, ExecutionPlan, FeedbackEstimator, PlanBuilder, PlanObs};
 use parking_lot::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -117,43 +118,20 @@ struct Chaos {
 }
 
 /// The engine's view of the resident graph while one worker executes
-/// one chunk: the worker's persistent cache in front of its faultless
-/// store transport, with the query's chaos verdicts evaluated *before*
-/// the cache on every logical access. Decisions are decision-only
-/// ([`FaultingStore::route_for`]) so a cache hit and a cache miss see
-/// the same fault stream — per-chunk failure outcomes stay a pure
-/// function of the fault seed even though the caches are warm and
-/// shared across queries.
-///
-/// [`DataSource`] cannot return errors, so the first error is parked in
-/// a slot (first-error-wins), the access returns an empty adjacency set
-/// to unwind the engine cheaply, and the worker converts the poisoned
-/// slot into [`CommitState::submit_failed`] after the chunk.
+/// one chunk: the query's chaos verdicts, evaluated *before* the
+/// worker's cache-fronted [`WorkerSource`] on every logical access.
+/// Decisions are decision-only ([`FaultingStore::route_for`]) so a
+/// cache hit and a cache miss see the same fault stream — per-chunk
+/// failure outcomes stay a pure function of the fault seed even though
+/// the caches are warm and shared across queries. The first failed
+/// access ends the chunk; the worker turns it into
+/// [`CommitState::submit_failed`].
 struct ChunkSource<'a> {
-    transport: &'a Transport,
-    cache: &'a DbCache,
+    inner: WorkerSource<'a>,
     chaos: Option<&'a Chaos>,
-    error: Mutex<Option<ServiceError>>,
 }
 
 impl ChunkSource<'_> {
-    /// Parks the first error and hands back the empty-set sentinel.
-    fn poison(&self, err: ServiceError) -> Arc<AdjSet> {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        Arc::new(AdjSet::new())
-    }
-
-    fn poisoned(&self) -> bool {
-        self.error.lock().is_some()
-    }
-
-    fn take_error(&self) -> Option<ServiceError> {
-        self.error.lock().take()
-    }
-
     /// The chaos verdict for one logical access: replica failover
     /// within an attempt, virtual backoff between attempts, fail fast
     /// on hopeless outages — mirroring the batch transport's retry
@@ -204,6 +182,7 @@ impl ChunkSource<'_> {
         let Some(chaos) = self.chaos else {
             return Ok(());
         };
+        let store = self.inner.transport().store();
         let key = vs.iter().copied().min().unwrap_or(0) as u64;
         for attempt in 0..chaos.retry.max_attempts {
             match chaos.store.route_many(vs, attempt) {
@@ -213,7 +192,7 @@ impl ChunkSource<'_> {
                 }
                 Err(fault) if fault.kind == FaultKind::Outage => {
                     return Err(ServiceError::StoreUnavailable {
-                        vertex: batch_error_vertex(self.transport.store(), vs, fault.shard),
+                        vertex: batch_error_vertex(store, vs, fault.shard),
                         shard: fault.shard,
                     });
                 }
@@ -223,7 +202,7 @@ impl ChunkSource<'_> {
                     }
                     if attempt + 1 >= chaos.retry.max_attempts {
                         return Err(ServiceError::RetryExhausted {
-                            vertex: batch_error_vertex(self.transport.store(), vs, fault.shard),
+                            vertex: batch_error_vertex(store, vs, fault.shard),
                             shard: fault.shard,
                             attempts: chaos.retry.max_attempts,
                         });
@@ -238,39 +217,6 @@ impl ChunkSource<'_> {
         }
         unreachable!("retry loop returns on success or exhausted attempts")
     }
-
-    /// One fetch through the faultless serve path: warm cache first,
-    /// then the worker's transport. A vertex missing from the resident
-    /// store (or decoding to garbage) is a data error of this query,
-    /// not a process abort.
-    fn fetch(&self, v: VertexId) -> Result<Arc<AdjSet>, ServiceError> {
-        self.verdict(v)?;
-        self.cache
-            .get_or_fetch(v, || resident_fetch(self.transport, v))
-    }
-}
-
-/// Maps the faultless transport's error taxonomy into the service's.
-/// The serve-path transport has no fault plan, so `Unavailable` here
-/// means the store itself refused — surfaced with the transport's own
-/// attempt accounting.
-fn resident_fetch(transport: &Transport, v: VertexId) -> Result<Arc<AdjSet>, ServiceError> {
-    match transport.fetch(v) {
-        Ok(Some(adj)) => Ok(adj),
-        Ok(None) => Err(ServiceError::CorruptValue {
-            vertex: v,
-            detail: "missing from the resident store".into(),
-        }),
-        Err(FetchError::Corrupt(err)) => Err(ServiceError::CorruptValue {
-            vertex: err.vertex,
-            detail: err.error.to_string(),
-        }),
-        Err(FetchError::Unavailable(err)) => Err(ServiceError::RetryExhausted {
-            vertex: err.vertex,
-            shard: err.shard,
-            attempts: err.attempts,
-        }),
-    }
 }
 
 /// The first vertex of `vs` whose placement involves `shard` — the
@@ -283,72 +229,20 @@ fn batch_error_vertex(store: &KvStore, vs: &[VertexId], shard: usize) -> VertexI
 }
 
 impl DataSource for ChunkSource<'_> {
+    type Error = ServiceError;
+
     fn num_vertices(&self) -> usize {
-        self.transport.store().num_vertices()
+        self.inner.num_vertices()
     }
 
-    fn get_adj(&self, v: VertexId) -> Arc<AdjSet> {
-        match self.fetch(v) {
-            Ok(adj) => adj,
-            Err(err) => self.poison(err),
-        }
+    fn get_adj(&self, v: VertexId) -> Result<Arc<AdjSet>, ServiceError> {
+        self.verdict(v)?;
+        Ok(self.inner.get_adj(v)?)
     }
 
-    fn get_adj_batch(&self, vs: &[VertexId]) -> Vec<Arc<AdjSet>> {
-        if let Err(err) = self.batch_verdict(vs) {
-            let empty = self.poison(err);
-            return vs.iter().map(|_| Arc::clone(&empty)).collect();
-        }
-        let mut out: Vec<Option<Arc<AdjSet>>> = vec![None; vs.len()];
-        let mut missing_slots = Vec::new();
-        let mut missing_keys = Vec::new();
-        for (i, &v) in vs.iter().enumerate() {
-            match self.cache.get(v) {
-                Some(adj) => out[i] = Some(adj),
-                None => {
-                    missing_slots.push(i);
-                    missing_keys.push(v);
-                }
-            }
-        }
-        if !missing_keys.is_empty() {
-            match self.transport.fetch_many(&missing_keys) {
-                Ok(values) => {
-                    for (j, value) in values.into_iter().enumerate() {
-                        out[missing_slots[j]] = Some(match value {
-                            Some(adj) => {
-                                self.cache.insert(missing_keys[j], Arc::clone(&adj));
-                                adj
-                            }
-                            None => self.poison(ServiceError::CorruptValue {
-                                vertex: missing_keys[j],
-                                detail: "missing from the resident store".into(),
-                            }),
-                        });
-                    }
-                }
-                Err(err) => {
-                    let err = match err {
-                        FetchError::Corrupt(c) => ServiceError::CorruptValue {
-                            vertex: c.vertex,
-                            detail: c.error.to_string(),
-                        },
-                        FetchError::Unavailable(t) => ServiceError::RetryExhausted {
-                            vertex: t.vertex,
-                            shard: t.shard,
-                            attempts: t.attempts,
-                        },
-                    };
-                    let empty = self.poison(err);
-                    for &slot in &missing_slots {
-                        out[slot] = Some(Arc::clone(&empty));
-                    }
-                }
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every slot filled"))
-            .collect()
+    fn get_adj_batch(&self, vs: &[VertexId]) -> Result<Vec<Arc<AdjSet>>, ServiceError> {
+        self.batch_verdict(vs)?;
+        Ok(self.inner.get_adj_batch(vs)?)
     }
 }
 
@@ -577,7 +471,7 @@ impl QueryService {
     /// task lists are a deterministic function of the submission order.
     ///
     /// Admission control runs under the same lock against the backlog
-    /// snapshot (see [`crate::admission`]): a shed query settles
+    /// snapshot (the gates are described in DESIGN.md §4j): a shed query settles
     /// immediately as [`Terminal::Rejected`] without executing, and a
     /// submission into a fully dead worker pool settles as
     /// [`Terminal::Failed`]\([`ServiceError::WorkerLost`]). Both are
@@ -1171,8 +1065,9 @@ fn crash_worker(inner: &Inner, lane: usize, run: &Arc<QueryRun>, chunk: usize) {
 /// Executes one granted chunk and feeds the outcome to the query's
 /// commit pipeline. A chunk of a terminated query is skipped (or, for
 /// DFS, aborted at the next task boundary) and accounted as discarded;
-/// a chunk whose access stream hit an unrecoverable fault reports
-/// [`CommitState::submit_failed`] instead of results.
+/// a chunk whose access stream hit an unrecoverable fault, or whose
+/// engine run panicked, reports [`CommitState::submit_failed`] instead
+/// of results.
 fn execute_chunk(
     inner: &Inner,
     transport: &Transport,
@@ -1197,10 +1092,8 @@ fn execute_chunk(
     let tasks = &run.tasks[range];
     let needs_matches = run.options.mode.needs_matches();
     let source = ChunkSource {
-        transport,
-        cache,
+        inner: WorkerSource::new(transport, cache),
         chaos: run.chaos.as_ref(),
-        error: Mutex::new(None),
     };
     let engine = LocalEngine::with_triangle_cache(
         &run.plan.compiled,
@@ -1211,19 +1104,14 @@ fn execute_chunk(
     .with_pooling(inner.config.pooled_buffers);
     let mut counting = CountingConsumer;
     let mut collecting = CollectingConsumer::default();
-    let mut metrics = TaskMetrics::default();
     let mut aborted = false;
-    match run.exec_mode {
+    let executed = catch_unwind(AssertUnwindSafe(|| match run.exec_mode {
         ExecMode::Dfs => {
             let mut engine = engine;
+            let mut metrics = TaskMetrics::default();
             for &task in tasks {
                 if run.terminated.load(Ordering::Acquire) {
                     aborted = true;
-                    break;
-                }
-                // A poisoned source already decided the chunk's fate;
-                // the remaining tasks' work would be discarded anyway.
-                if source.poisoned() {
                     break;
                 }
                 let consumer: &mut dyn MatchConsumer = if needs_matches {
@@ -1231,8 +1119,9 @@ fn execute_chunk(
                 } else {
                     &mut counting
                 };
-                metrics += engine.run_task(task, consumer);
+                metrics += engine.try_run_task(task, consumer)?;
             }
+            Ok(metrics)
         }
         ExecMode::Hybrid => {
             // The whole chunk is one frontier batch: sibling tasks share
@@ -1245,9 +1134,10 @@ fn execute_chunk(
             } else {
                 &mut counting
             };
-            metrics = frontier.run_batch(tasks, consumer);
+            frontier.try_run_batch(tasks, consumer)
         }
-    }
+    }))
+    .unwrap_or(Err(ServiceError::ChunkPanicked { chunk }));
     // Injected-fault waits (virtual backoff, timeout waits, slow-shard
     // penalties) accumulated on this thread are observability, not
     // query latency — draining them here keeps vticks (and deadline
@@ -1260,38 +1150,41 @@ fn execute_chunk(
                 .add(penalty.as_nanos() as u64);
         }
     }
-    let error = source.take_error();
     let mut state = run.state.lock();
-    if aborted {
-        if let Some(commit) = state.commit.as_mut() {
-            commit.skip(1);
+    match executed {
+        _ if aborted => {
+            if let Some(commit) = state.commit.as_mut() {
+                commit.skip(1);
+            }
         }
-    } else if let Some(err) = error {
         // Whatever partial matches the engine produced before the
-        // poison are dropped with the chunk: a failed chunk contributes
+        // failure are dropped with the chunk: a failed chunk contributes
         // nothing, which is what keeps failure outcomes deterministic.
-        if let Some(commit) = state.commit.as_mut() {
-            commit.submit_failed(chunk, err);
+        Err(err) => {
+            if let Some(commit) = state.commit.as_mut() {
+                commit.submit_failed(chunk, err);
+            }
         }
-    } else {
-        let mut matches: Vec<Vec<VertexId>> = collecting
-            .into_matches()
-            .iter()
-            .map(|f| remap(f, &run.placement))
-            .collect();
-        matches.sort_unstable();
-        let executed = ExecutedChunk {
-            chunk,
-            count: metrics.matches,
-            matches,
-            vticks: chunk_vticks(tasks.len(), &metrics),
-            metrics,
-        };
-        if let Some(hub) = &inner.obs {
-            hub.tracer.clock().advance(executed.vticks);
-        }
-        if let Some(commit) = state.commit.as_mut() {
-            commit.submit(executed);
+        Ok(metrics) => {
+            let mut matches: Vec<Vec<VertexId>> = collecting
+                .into_matches()
+                .iter()
+                .map(|f| remap(f, &run.placement))
+                .collect();
+            matches.sort_unstable();
+            let executed = ExecutedChunk {
+                chunk,
+                count: metrics.matches,
+                matches,
+                vticks: chunk_vticks(tasks.len(), &metrics),
+                metrics,
+            };
+            if let Some(hub) = &inner.obs {
+                hub.tracer.clock().advance(executed.vticks);
+            }
+            if let Some(commit) = state.commit.as_mut() {
+                commit.submit(executed);
+            }
         }
     }
     inner.after_state_change(run, &mut state);
